@@ -438,7 +438,7 @@ fn cmd_session(args: &Args, input: &dyn InputSource) -> Result<String, String> {
     let mut engine = hc_session::SessionEngine::new(ecs);
 
     let (report, stats) = engine.recompute(None).map_err(|e| e.to_string())?;
-    let cold_iters = stats.total_iterations();
+    let cold_iters = stats.sinkhorn_iterations;
     let mut out = format!(
         "session demo: {} task types x {} machines (edits in {})\n\
          v1 cold: MPH {:.4}  TDH {:.4}  TMA {:.4}   \
@@ -504,13 +504,13 @@ fn cmd_session(args: &Args, input: &dyn InputSource) -> Result<String, String> {
         ));
         prev = (report.mph, report.tdh, report.tma);
         if stats.warm && !stats.fallback {
-            warm_iters.push(stats.total_iterations());
+            warm_iters.push(stats.sinkhorn_iterations);
         }
     }
     if !warm_iters.is_empty() {
         let mean = warm_iters.iter().sum::<usize>() as f64 / warm_iters.len() as f64;
         out.push_str(&format!(
-            "warm recomputes averaged {mean:.1} solver iterations vs {cold_iters} cold\n"
+            "warm recomputes averaged {mean:.1} Sinkhorn iterations vs {cold_iters} cold\n"
         ));
     }
     Ok(out)

@@ -7,7 +7,7 @@ use crate::measures::{
 };
 use crate::standard::{standard_form_budgeted_in, tma_from_standard_form_budgeted_in, TmaOptions};
 use crate::weights::Weights;
-use hc_linalg::{Budget, Workspace};
+use hc_linalg::{Budget, SvdAlgorithm, Workspace};
 
 /// The three paper measures plus diagnostics, computed together.
 #[derive(Debug, Clone)]
@@ -233,7 +233,7 @@ pub fn characterize_budgeted_in(
     };
     let tma = {
         let mut s = hc_obs::span("measure.svd");
-        let tma = tma_from_standard_form_budgeted_in(&sf, opts.svd, budget, ws)?;
+        let tma = tma_from_standard_form_budgeted_in(&sf, SvdAlgorithm::Auto, budget, ws)?;
         if s.armed() {
             s.field_f64("tma", tma);
         }

@@ -74,8 +74,13 @@ impl Workspace {
         Self::default()
     }
 
-    /// Checks out a length-`len` buffer filled with `fill`.
+    /// Checks out a length-`len` buffer filled with `fill`. An empty checkout
+    /// needs no heap memory, so it leaves the pool alone (a pooled buffer
+    /// spent on it would be missing for the next real checkout).
     pub fn take_vec(&mut self, len: usize, fill: f64) -> Vec<f64> {
+        if len == 0 {
+            return Vec::new();
+        }
         match best_fit(&self.f64_pool, len) {
             Some(i) => {
                 self.stats.reuses += 1;
@@ -119,8 +124,12 @@ impl Workspace {
         m
     }
 
-    /// Checks out a length-`len` index buffer (zero-filled).
+    /// Checks out a length-`len` index buffer (zero-filled); empty checkouts
+    /// leave the pool alone, as in [`Workspace::take_vec`].
     pub fn take_idx(&mut self, len: usize) -> Vec<usize> {
+        if len == 0 {
+            return Vec::new();
+        }
         match best_fit(&self.idx_pool, len) {
             Some(i) => {
                 self.stats.reuses += 1;

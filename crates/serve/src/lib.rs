@@ -70,7 +70,7 @@
 //! Observability (DESIGN.md §11): every request is recorded into the
 //! [`hc_obs::recorder`] flight recorder — span tree, phase timings
 //! (`Server-Timing` response header), and kernel telemetry (Sinkhorn
-//! iterations, SVD sweeps) — retrievable after the fact from
+//! iterations, SVD QR iterations) — retrievable after the fact from
 //! `/debug/requests/{id}`. Slow, errored, and panicked requests are pinned
 //! into a survivor ring so a flood of healthy traffic cannot evict the one
 //! request worth debugging. W3C `traceparent` is parsed (or generated) and
@@ -80,7 +80,7 @@
 //! Live sessions (DESIGN.md §12): `/session/*` endpoints keep per-client
 //! state in the sharded, TTL'd, LRU-bounded [`hc_session::SessionStore`]
 //! (`--max-sessions`, `--session-ttl-s`). Edits recompute incrementally with
-//! warm-started Sinkhorn/SVD solvers (silent cold fallback counted in
+//! warm-started Sinkhorn and the values-only SVD (silent cold fallback counted in
 //! `session_warm_fallback_total`), `If-Match` versions give optimistic
 //! concurrency (`409` on mismatch), and `GET /session/{id}/watch` long-polls
 //! for measure deltas under the same deadline machinery — graceful drain

@@ -8,7 +8,7 @@
 //! | `/session/{id}`                 | DELETE | —                        |
 //! | `/session/{id}/watch?version=N` | GET    | —                        |
 //!
-//! The stateful parts (store, engine, warm solvers) live in `hc-session`;
+//! The stateful parts (store, engine, warm-started balancing) live in `hc-session`;
 //! this module only translates HTTP to store calls and store results to the
 //! wire. The `measures` object in every session response is rendered by
 //! [`crate::json::measure_body`] — the same builder `POST /measure` and
@@ -105,7 +105,6 @@ fn stats_json(stats: &hc_session::RecomputeStats) -> String {
     JsonObject::new()
         .bool("warm", stats.warm)
         .bool("fallback", stats.fallback)
-        .bool("cutover", stats.cutover)
         .u64("sinkhorn_iterations", stats.sinkhorn_iterations as u64)
         .u64("svd_iterations", stats.svd_iterations as u64)
         .finish()

@@ -224,14 +224,15 @@ fn patch_recomputes_warm_with_fewer_iterations() {
             .parse()
             .unwrap()
     };
-    let cold = iters(&created, "sinkhorn_iterations") + iters(&created, "svd_iterations");
+    // Only Sinkhorn warm-starts; the values-only SVD costs the same either way.
+    let cold = iters(&created, "sinkhorn_iterations");
     assert!(created.contains("\"warm\":false"), "{created}");
 
     let (ps, _ph, patched) = patch(addr, &format!("/session/{id}/etc"), "cell,t3,m5,9.5\n");
     assert_eq!(ps, 200, "{patched}");
     assert!(patched.contains("\"warm\":true"), "{patched}");
     assert!(patched.contains("\"fallback\":false"), "{patched}");
-    let warm = iters(&patched, "sinkhorn_iterations") + iters(&patched, "svd_iterations");
+    let warm = iters(&patched, "sinkhorn_iterations");
     assert!(
         warm < cold,
         "warm patch must need fewer iterations ({warm} vs {cold})"

@@ -2,25 +2,21 @@
 //!
 //! Stateful incremental analysis for the heterogeneity measures. A client
 //! registers an ETC/ECS matrix once, then streams edits as the cluster
-//! drifts; each edit triggers a recompute that *warm-starts* both numerical
-//! kernels from the previous solve instead of starting from scratch:
+//! drifts; each edit triggers a recompute that *warm-starts* the balancing
+//! from the previous solve instead of starting from scratch:
 //!
 //! * **Sinkhorn** restarts from the previous `D₁/D₂` scaling vectors
 //!   ([`hc_sinkhorn::balance::standardize_warm_budgeted_in`]) — a small edit
 //!   leaves the seeded matrix near the balanced fixed point, so convergence
 //!   takes a handful of sweeps instead of hundreds.
-//! * **SVD** restarts one-sided Jacobi from the previous right singular
-//!   vectors ([`hc_linalg::svd::svd_warm_stats_budgeted_in`]) — the seeded
-//!   working matrix has near-orthogonal columns, so one or two sweeps replace
-//!   a full cold factorization.
+//! * **SVD** runs the values-only kernel
+//!   ([`hc_linalg::svd::singular_values_in`]) on the new standard form, the
+//!   same one `/measure` uses: TMA needs σ₂…σₖ only, so no singular vectors
+//!   are built or carried between edits.
 //!
 //! Correctness is never traded for speed: the warm path must satisfy exactly
 //! the cold path's convergence tolerances, and any miss falls back to a
-//! silent cold recompute counted in `session_warm_fallback_total`. Nor is
-//! speed traded for iteration counts: above a size cutover
-//! ([`engine::DEFAULT_WARM_CUTOVER_CELLS`]) the warm attempt is skipped
-//! outright — its O(n³) Jacobi sweeps stop paying for themselves in wall
-//! time — counted in the sibling `session_warm_cutover_total`.
+//! silent cold recompute counted in `session_warm_fallback_total`.
 //!
 //! The crate is layered:
 //!
@@ -39,7 +35,7 @@ pub mod engine;
 pub mod store;
 
 pub use edits::{parse_edits, to_ecs_value, Edit, EditParseError};
-pub use engine::{RecomputeStats, SessionEngine, DEFAULT_WARM_CUTOVER_CELLS};
+pub use engine::{RecomputeStats, SessionEngine};
 pub use store::{
     Delta, SessionConfig, SessionError, SessionSnapshot, SessionStore, TryWatch, WatchOutcome,
     WatchWaker,

@@ -25,6 +25,7 @@ grep -q '"bench":"recorder_overhead"' "$OUT" || { echo "missing recorder overhea
 grep -q '"bench":"profiler_overhead"' "$OUT" || { echo "missing profiler overhead lane"; exit 1; }
 grep -q '"bench":"tsdb_overhead"' "$OUT" || { echo "missing tsdb overhead lane"; exit 1; }
 grep -q '"bench":"session_warm_vs_cold"' "$OUT" || { echo "missing session warm-vs-cold lane"; exit 1; }
+grep -q '"bench":"svd.values"' "$OUT" || { echo "missing values-only SVD lanes"; exit 1; }
 grep -q '"bench":"keepalive_vs_reconnect"' "$OUT" || { echo "missing keepalive-vs-reconnect lane"; exit 1; }
 grep -q '"allocs_per_call":' "$OUT" || { echo "missing allocation counts"; exit 1; }
 echo "wrote $OUT"

@@ -18,6 +18,14 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== paper reproduction =="
+# The committed repro_output.txt is the reference transcript of every paper
+# figure and extension table; `repro --all` is deterministic, so any drift in
+# a measure value shows here as a diff.
+./target/release/repro --all | diff -u repro_output.txt - || {
+  echo "repro --all differs from repro_output.txt"; exit 1; }
+echo "repro --all matches repro_output.txt"
+
 echo "== steady-state allocation check =="
 # A warm Analyzer must serve repeated shapes with >= 90% fewer heap
 # allocations than a cold fresh-workspace characterize, and the one-shot
